@@ -13,30 +13,42 @@ accumulated join (one view row per fact row); for dimension edges it keeps
 the FK functionally dependent on the dimension key, which a row-level join
 completion could violate.  DESIGN.md discusses the substitution.
 
-The traversal is *transactional*: :meth:`SnowflakeSynthesizer.solve`
+:meth:`SnowflakeSynthesizer.solve` is the one traversal loop: both
+:func:`repro.spec.synthesize` and the service layer's cache-aware
+:func:`repro.service.engine.run_spec` run it.  It is *transactional*: it
 works on a copy of the input :class:`Database` and returns it in
 :attr:`SnowflakeResult.database` — a mid-traversal solver failure leaves
-the caller's database exactly as it was.  It is also (optionally)
-*parallel*: edges in one BFS layer whose read/write relation sets are
-disjoint (``Database.conflict_free_batches``) are solved concurrently on
-a process pool, with results merged back in BFS order so the completed
-database is byte-identical to the sequential traversal's.
+the caller's database exactly as it was.  It is (optionally) *parallel*:
+edges in one BFS layer whose read/write relation sets are disjoint
+(``Database.conflict_free_batches``) are solved concurrently on a process
+pool, with results committed in BFS order so the completed database is
+byte-identical to the sequential traversal's.  And it is *resumable*: an
+:class:`EdgeResultSource` can hand it previously solved edges to splice
+instead of solving, and receives every edge it does solve — committed,
+then stored, then announced to ``on_event`` — whether the edge was
+solved in-process or on the pool.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import (
+    Any,
     Callable,
     Dict,
     List,
     Mapping,
+    NamedTuple,
     Optional,
+    Protocol,
     Sequence,
     Set,
     Tuple,
 )
+
+import numpy as np
 
 from repro.constraints.cc import CardinalityConstraint
 from repro.constraints.dc import DenialConstraint
@@ -47,12 +59,19 @@ from repro.core.parallel_snowflake import (
     solve_edge,
 )
 from repro.core.synthesizer import CExtensionResult
-from repro.errors import SchemaError
+from repro.errors import SchemaError, SynthesisCancelled
 from repro.relational.database import Database, ForeignKey
 from repro.relational.executor import executor_from_config
 from repro.relational.relation import Relation
+from repro.relational.schema import ColumnSpec
 
-__all__ = ["EdgeConstraints", "SnowflakeResult", "SnowflakeSynthesizer"]
+__all__ = [
+    "EdgeConstraints",
+    "EdgeResultSource",
+    "SnowflakeResult",
+    "SnowflakeSynthesizer",
+    "SplicedEdge",
+]
 
 
 @dataclass
@@ -92,17 +111,52 @@ class EdgeConstraints:
         """``base`` with this edge's solver overrides applied."""
         if not self.solver_overrides:
             return base
-        return replace(base, **dict(self.solver_overrides))
+        overrides: Dict[str, Any] = dict(self.solver_overrides)
+        return replace(base, **overrides)
+
+
+#: The arguments of one edge's solve: extended view, parent relation, FK
+#: column, constraint set and config (:func:`solve_edge`'s signature).
+EdgeInputs = Tuple[Relation, Relation, str, EdgeConstraints, SolverConfig]
+
+
+class SplicedEdge(NamedTuple):
+    """A previously solved edge, as the parts :meth:`commit_edge` takes.
+
+    ``wall_s``/``solve_s`` are the original solve's timings, reported on
+    the splice's ``edge_cached`` event.
+    """
+
+    fk_spec: ColumnSpec
+    fk_values: np.ndarray
+    parent: Relation
+    wall_s: float
+    solve_s: float
+
+
+class EdgeResultSource(Protocol):
+    """Where :meth:`SnowflakeSynthesizer.solve` finds and stores edges."""
+
+    def get(self, fk: ForeignKey) -> Optional[SplicedEdge]:
+        """The stored result for ``fk``, or ``None`` to solve it."""
+
+    def put(self, fk: ForeignKey, step: CExtensionResult) -> None:
+        """Store ``fk``'s result, just committed by the traversal."""
 
 
 @dataclass
 class SnowflakeResult:
-    """The completed database plus the per-edge solver results."""
+    """The completed database plus the per-edge solver results.
+
+    ``steps`` holds the edges the traversal solved; ``edges`` lists every
+    edge it committed, solved or spliced, in BFS order.
+    """
 
     database: Database
     steps: List[Tuple[ForeignKey, CExtensionResult]] = field(
         default_factory=list
     )
+    edges: List[ForeignKey] = field(default_factory=list)
 
 
 class SnowflakeSynthesizer:
@@ -155,34 +209,22 @@ class SnowflakeSynthesizer:
             )
         return view
 
-    def _apply_step(
-        self, database: Database, fk: ForeignKey, step: CExtensionResult
-    ) -> None:
-        """Commit one solved edge: imputed FK column + extended parent."""
-        self.commit_edge(
-            database,
-            fk,
-            step.r1_hat.schema.spec(fk.column),
-            step.r1_hat.column(fk.column),
-            step.r2_hat,
-        )
-
     @staticmethod
     def commit_edge(
         database: Database,
         fk: ForeignKey,
-        fk_spec,
-        fk_values,
+        fk_spec: ColumnSpec,
+        fk_values: np.ndarray,
         r2_hat: Relation,
     ) -> None:
         """Commit an edge result given as its raw parts.
 
-        This is the splice point the service layer's edge-result cache
-        uses: a cached edge carries exactly ``(fk column spec, fk value
-        array, completed parent relation)``, and committing those parts
-        is byte-identical to committing the full solver result they came
-        from.  The FK column overlays the child without copying its other
-        columns, on either storage backend.
+        This is the splice point for :class:`SplicedEdge`: a stored edge
+        carries exactly ``(fk column spec, fk value array, completed
+        parent relation)``, and committing those parts is byte-identical
+        to committing the full solver result they came from.  The FK
+        column overlays the child without copying its other columns, on
+        either storage backend.
         """
         child = database.relation(fk.child)
         updated_child = child
@@ -194,13 +236,15 @@ class SnowflakeSynthesizer:
         if (
             r2_hat.is_chunked
             and current_parent.is_chunked
-            and r2_hat.store.directory == current_parent.store.directory
+            and r2_hat.store.directories == current_parent.store.directories
         ):
             # An unchanged disk-backed parent round-trips through a pool
-            # worker as a fresh handle on the *same* store directory —
+            # worker as a fresh handle on the *same* store directories —
             # a handle that does not own the backing TemporaryDirectory.
             # Keep the database's own relation object instead, so the
-            # store outlives the input database that created it.
+            # store outlives the input database that created it.  (A
+            # parent whose own FK was imputed earlier is a composite of
+            # its spilled columns and that FK overlay.)
             r2_hat = current_parent
         database.replace_relation(fk.parent, r2_hat)
 
@@ -212,7 +256,9 @@ class SnowflakeSynthesizer:
         *,
         workers: Optional[int] = None,
         allow_unreachable: bool = False,
+        results: Optional[EdgeResultSource] = None,
         on_event: Optional[Callable[[Dict[str, object]], None]] = None,
+        should_cancel: Optional[Callable[[], bool]] = None,
     ) -> SnowflakeResult:
         """Impute every declared FK, BFS outward from ``fact_table``.
 
@@ -230,13 +276,21 @@ class SnowflakeSynthesizer:
         :class:`SchemaError` unless ``allow_unreachable=True`` opts into
         an intentionally partial run.
 
-        ``on_event`` is the progress hook the serving layer builds on: it
-        receives ``{"type": "edge_started", ...}`` before each edge's
-        solve and ``{"type": "edge_solved", ..., "wall_s", "solve_s"}``
-        as each result lands (streamed mid-batch on parallel runs, via
-        :func:`repro.core.parallel_snowflake.solve_batch`'s
-        ``on_result`` hook).  Exceptions from the callback propagate and
-        abort the traversal — the transactional copy keeps the caller's
+        ``results`` is an optional :class:`EdgeResultSource`: an edge it
+        returns is spliced instead of solved, and every solved edge is
+        handed to its ``put`` right after being committed — before its
+        ``edge_solved`` event, so a persistent source is a checkpoint
+        store.  ``should_cancel`` is polled between edges; when it
+        returns true the traversal raises :class:`SynthesisCancelled`.
+
+        ``on_event`` receives ``{"type": "edge_started", ...}`` before
+        each edge's solve, ``{"type": "edge_solved", ..., "wall_s",
+        "solve_s"}`` as each result is committed (streamed mid-batch on
+        parallel runs, via :func:`solve_batch`'s ``on_result`` hook) and
+        ``{"type": "edge_cached", ...}`` for each splice.  Every event
+        carries ``total_edges`` and the ``cache_hits``/``cache_misses``
+        counts so far.  Exceptions from the callback propagate and abort
+        the traversal — the transactional copy keeps the caller's
         database intact.
         """
         layers = database.bfs_edge_layers(fact_table)
@@ -269,7 +323,8 @@ class SnowflakeSynthesizer:
         }
 
         total_edges = sum(len(layer) for layer in layers)
-        solved_count = 0
+        hits = 0
+        misses = 0
 
         def emit(kind: str, fk: ForeignKey, **extra: object) -> None:
             if on_event is None:
@@ -281,91 +336,117 @@ class SnowflakeSynthesizer:
                 "column": fk.column,
                 "parent": fk.parent,
                 "total_edges": total_edges,
+                "cache_hits": hits,
+                "cache_misses": misses,
             }
             event.update(extra)
             on_event(event)
 
-        def emit_solved(fk: ForeignKey, step: CExtensionResult) -> None:
-            nonlocal solved_count
-            solved_count += 1
+        def check_cancel() -> None:
+            if should_cancel is not None and should_cancel():
+                raise SynthesisCancelled(
+                    f"synthesis cancelled after {hits + misses}/"
+                    f"{total_edges} edges"
+                )
+
+        work = database.copy()
+        result = SnowflakeResult(database=work)
+        completed: Set[Tuple[str, str]] = set()
+
+        def edge_inputs(fk: ForeignKey) -> EdgeInputs:
+            return (
+                self._extended_view(work, fk.child, completed),
+                work.relation(fk.parent),
+                fk.column,
+                constraints.get((fk.child, fk.column), EdgeConstraints()),
+                self.config,
+            )
+
+        def commit_solved(fk: ForeignKey, step: CExtensionResult) -> None:
+            # Commit, then checkpoint, then announce: whatever sees the
+            # event may rely on the edge being stored.
+            nonlocal misses
+            self.commit_edge(
+                work,
+                fk,
+                step.r1_hat.schema.spec(fk.column),
+                step.r1_hat.column(fk.column),
+                step.r2_hat,
+            )
+            completed.add((fk.child, fk.column))
+            if results is not None:
+                results.put(fk, step)
+            misses += 1
+            result.steps.append((fk, step))
             emit(
                 "edge_solved",
                 fk,
-                index=solved_count,
+                index=hits + misses,
                 wall_s=step.report.wall_seconds,
                 solve_s=step.report.total_seconds,
                 new_parent_tuples=step.phase2.stats.num_new_r2_tuples,
                 executor=step.report.executor,
             )
 
-        work = database.copy()
-        result = SnowflakeResult(database=work)
-        completed: Set[Tuple[str, str]] = set()
+        def commit_nth(
+            batch: List[ForeignKey], index: int, step: CExtensionResult
+        ) -> None:
+            commit_solved(batch[index], step)
+
         pool: Optional[ProcessPoolExecutor] = None
         try:
             for layer in layers:
                 for batch in work.conflict_free_batches(
                     layer, completed, serialize=serialized
                 ):
-                    constraints_of = {
-                        (fk.child, fk.column): constraints.get(
-                            (fk.child, fk.column), EdgeConstraints()
+                    # Splicing before the batch mates solve is safe:
+                    # batch members never read each other's relations.
+                    pending: List[ForeignKey] = []
+                    for fk in batch:
+                        check_cancel()
+                        spliced = None if results is None else results.get(fk)
+                        if spliced is None:
+                            pending.append(fk)
+                            continue
+                        self.commit_edge(
+                            work,
+                            fk,
+                            spliced.fk_spec,
+                            spliced.fk_values,
+                            spliced.parent,
                         )
-                        for fk in batch
-                    }
-                    if len(batch) < 2 or workers < 2:
+                        completed.add((fk.child, fk.column))
+                        hits += 1
+                        emit(
+                            "edge_cached",
+                            fk,
+                            index=hits + misses,
+                            wall_s=spliced.wall_s,
+                            solve_s=spliced.solve_s,
+                        )
+                    if len(pending) < 2 or workers < 2:
                         # In-process: solve edge by edge, committing each
                         # before building the next extended view (edges
                         # in one batch never read each other's writes, so
                         # this matches the snapshot semantics below).
-                        steps = []
-                        for fk in batch:
+                        for fk in pending:
+                            check_cancel()
                             emit("edge_started", fk)
-                            step = solve_edge(
-                                self._extended_view(
-                                    work, fk.child, completed
-                                ),
-                                work.relation(fk.parent),
-                                fk.column,
-                                constraints_of[(fk.child, fk.column)],
-                                self.config,
-                            )
-                            self._apply_step(work, fk, step)
-                            completed.add((fk.child, fk.column))
-                            emit_solved(fk, step)
-                            steps.append(step)
-                        result.steps.extend(zip(batch, steps))
+                            commit_solved(fk, solve_edge(*edge_inputs(fk)))
                         continue
                     # Fan out: every edge solves against the batch-start
-                    # snapshot; results merge back in BFS order.
+                    # snapshot; results commit in BFS order as they land.
                     if pool is None:
                         pool = ProcessPoolExecutor(max_workers=workers)
                     payloads = []
-                    for fk in batch:
+                    for fk in pending:
                         emit("edge_started", fk)
-                        payloads.append(
-                            edge_payload(
-                                self._extended_view(
-                                    work, fk.child, completed
-                                ),
-                                work.relation(fk.parent),
-                                fk.column,
-                                constraints_of[(fk.child, fk.column)],
-                                self.config,
-                            )
-                        )
-                    steps = solve_batch(
-                        payloads,
-                        pool,
-                        on_result=lambda i, step, batch=batch: emit_solved(
-                            batch[i], step
-                        ),
+                        payloads.append(edge_payload(*edge_inputs(fk)))
+                    solve_batch(
+                        payloads, pool, on_result=partial(commit_nth, pending)
                     )
-                    for fk, step in zip(batch, steps):
-                        self._apply_step(work, fk, step)
-                        completed.add((fk.child, fk.column))
-                    result.steps.extend(zip(batch, steps))
         finally:
             if pool is not None:
                 pool.shutdown()
+        result.edges = [fk for layer in layers for fk in layer]
         return result

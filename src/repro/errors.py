@@ -50,3 +50,13 @@ class CompletionError(ReproError):
 
 class ColoringError(ReproError):
     """Phase II could not produce a proper coloring."""
+
+
+class SynthesisCancelled(ReproError):
+    """A traversal's ``should_cancel`` hook asked it to stop.
+
+    Raised between edges (a single edge's solve is never interrupted);
+    the working database is discarded, and every edge solved before the
+    cancellation has already been handed to the traversal's result
+    source (the service layer's edge cache checkpoints it).
+    """

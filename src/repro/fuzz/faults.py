@@ -15,11 +15,12 @@ Two context managers wrap the per-edge solve
   manufactures a real divergence for the oracle → minimizer → replay
   pipeline to catch, shrink and reproduce — the fuzzer testing itself.
 
-Both patch every module that holds a reference to ``solve_edge``
-(:mod:`repro.core.parallel_snowflake`, :mod:`repro.core.snowflake`,
-:mod:`repro.service.engine`), so they cover the sequential traversal
-and the service engine alike.  They are **in-process only**: a patch
-never reaches pool workers, so injected runs must use ``workers = 0``.
+Both patch every module that calls ``solve_edge`` by its global name
+(:mod:`repro.core.parallel_snowflake`, :mod:`repro.core.snowflake`).
+``synthesize()`` and the service engine run the same traversal,
+:meth:`~repro.core.snowflake.SnowflakeSynthesizer.solve`, so one patch
+covers both.  They are **in-process only**: a patch never reaches pool
+workers, so injected runs must use ``workers = 0``.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ import numpy as np
 from repro.core import parallel_snowflake, snowflake
 from repro.errors import SolverError
 from repro.relational.relation import Relation
-from repro.service import engine as service_engine
 
 __all__ = ["InjectedFault", "failing_solver", "chaos_edge"]
 
-#: Every module whose global namespace holds a ``solve_edge`` reference.
-_PATCH_SITES = (parallel_snowflake, snowflake, service_engine)
+#: Every module that calls ``solve_edge`` through its global namespace.
+_PATCH_SITES = (parallel_snowflake, snowflake)
 
 
 class InjectedFault(SolverError):

@@ -658,7 +658,7 @@ class Relation:
         return {k: np.asarray(v, dtype=np.int64) for k, v in groups.items()}
 
     def with_column(
-        self, spec: ColumnSpec, values: Sequence[object]
+        self, spec: ColumnSpec, values: Union[Sequence[object], np.ndarray]
     ) -> "Relation":
         """A copy of this relation with one extra column appended.
 

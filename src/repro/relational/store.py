@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Dict,
+    FrozenSet,
     Iterator,
     List,
     Mapping,
@@ -145,6 +146,11 @@ class ColumnStore:
         """A store view holding only ``names``, in that order."""
         raise NotImplementedError
 
+    @property
+    def directories(self) -> FrozenSet[Path]:
+        """The on-disk store directories this store's columns live in."""
+        return frozenset()
+
 
 class NumpyColumnStore(ColumnStore):
     """The in-RAM backend: a dict of numpy arrays, one chunk."""
@@ -232,6 +238,10 @@ class MmapColumnStore(ColumnStore):
     @property
     def directory(self) -> Path:
         return self._directory
+
+    @property
+    def directories(self) -> FrozenSet[Path]:
+        return frozenset((self._directory,))
 
     @property
     def names(self) -> Tuple[str, ...]:
@@ -364,6 +374,14 @@ class CompositeStore(ColumnStore):
     @property
     def is_chunked(self) -> bool:
         return self._is_chunked
+
+    @property
+    def directories(self) -> FrozenSet[Path]:
+        return frozenset(
+            path
+            for store, _ in self._parts.values()
+            for path in store.directories
+        )
 
     def _part(self, name: str) -> Tuple[ColumnStore, str]:
         try:

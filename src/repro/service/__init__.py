@@ -5,9 +5,10 @@ The package layers a long-running front end over the one-shot
 
 * :mod:`repro.service.cache` — the dependency-keyed edge-result cache
   (and, persisted, the crash-safe per-edge checkpoint store);
-* :mod:`repro.service.engine` — :func:`run_spec`, the cache-aware
-  traversal that splices hits and checkpoints misses, byte-identical
-  to a cold :func:`~repro.spec.synthesize`;
+* :mod:`repro.service.engine` — :func:`run_spec`, which runs the one
+  snowflake traversal with the edge cache as its result source: hits
+  are spliced and misses checkpointed, byte-identical to a cold
+  :func:`~repro.spec.synthesize`;
 * :mod:`repro.service.jobs` — :class:`JobManager`, async job
   submission on a bounded worker budget with durable job directories;
 * :mod:`repro.service.http` / :mod:`repro.service.client` — the

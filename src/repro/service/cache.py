@@ -8,10 +8,15 @@ fingerprint (:func:`repro.spec.fingerprint.edge_fingerprints`), so a
 lookup hit certifies that re-solving would read byte-identical inputs
 under result-identical options — committing the cached parts via
 :meth:`SnowflakeSynthesizer.commit_edge` is therefore byte-identical to
-a cold solve.
+a cold solve.  The cache never drives a traversal itself:
+:func:`repro.service.engine.run_spec` hands it to
+:meth:`SnowflakeSynthesizer.solve` as the edge-result source, which
+looks every edge up before solving it and stores every edge it solves.
 
-Persistence doubles as the job server's crash-safe checkpoint: every
-completed edge is written to ``directory/<fingerprint>/`` (the
+Persistence doubles as the job server's crash-safe checkpoint: the
+traversal stores each solved edge right after committing it and before
+announcing it, and every stored edge is written to
+``directory/<fingerprint>/`` (the
 :class:`~repro.relational.store.MmapColumnStore` spill format for the
 arrays, ``meta.json`` for schemas and the report) via a temp directory
 plus one atomic rename, so a traversal killed mid-run resumes by simply

@@ -10,7 +10,6 @@ executes with :func:`synthesize`.
 from repro.spec.api import (
     EdgeReport,
     SynthesisResult,
-    plan_edges,
     synthesize,
 )
 from repro.spec.builder import SpecBuilder
@@ -34,7 +33,6 @@ __all__ = [
     "discover_spec",
     "edge_fingerprints",
     "load_spec",
-    "plan_edges",
     "result_options",
     "save_spec",
     "synthesize",

@@ -2,10 +2,11 @@
 
 One entrypoint executes any workload a :class:`SynthesisSpec` can
 describe — the paper's two-table C-Extension, the Section 5 snowflake
-traversal, and capacity-capped edges — by planning the FK-edge order and
-dispatching each edge through the solver's pluggable Phase-II stage
-registry.  The result carries the completed database, per-edge reports
-and a JSON-serialisable summary, whatever pipeline ran underneath.
+traversal, and capacity-capped edges — by running the snowflake
+traversal (:meth:`SnowflakeSynthesizer.solve`), which dispatches each
+edge through the solver's pluggable Phase-II stage registry.  The
+result carries the completed database, per-edge reports and a
+JSON-serialisable summary, whatever pipeline ran underneath.
 """
 
 from __future__ import annotations
@@ -14,10 +15,14 @@ import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.metrics import ErrorReport
-from repro.core.snowflake import EdgeConstraints, SnowflakeSynthesizer
+from repro.core.snowflake import (
+    EdgeConstraints,
+    SnowflakeResult,
+    SnowflakeSynthesizer,
+)
 from repro.core.synthesizer import CExtensionResult
 from repro.relational.database import Database, ForeignKey
 from repro.relational.relation import Relation
@@ -28,8 +33,8 @@ __all__ = [
     "SynthesisResult",
     "edge_constraint_map",
     "edge_report",
-    "plan_edges",
     "spill_guard",
+    "synthesis_result",
     "synthesize",
 ]
 
@@ -224,17 +229,6 @@ def spill_guard(spec: SynthesisSpec) -> Iterator[None]:
         raise
 
 
-def plan_edges(spec: SynthesisSpec, database: Database) -> List[ForeignKey]:
-    """The FK-edge solve order: BFS outward from the fact table.
-
-    Purely a planner: the unreachable-edge invariant (a declared edge
-    the BFS cannot reach would silently never be solved) is owned and
-    enforced by :meth:`SnowflakeSynthesizer.solve`, which also offers
-    the ``allow_unreachable`` opt-out for intentionally partial runs.
-    """
-    return database.bfs_edges(spec.fact())
-
-
 def edge_constraint_map(
     spec: SynthesisSpec,
 ) -> Dict[Tuple[str, str], EdgeConstraints]:
@@ -280,12 +274,40 @@ def edge_report(
     )
 
 
+def synthesis_result(
+    spec: SynthesisSpec,
+    flake: SnowflakeResult,
+    constraints: Mapping[Tuple[str, str], EdgeConstraints],
+    spliced: Mapping[Tuple[str, str], EdgeReport],
+) -> SynthesisResult:
+    """The spec-level result of one traversal of ``spec``.
+
+    Solved edges get a report built from their solver result; edges the
+    traversal spliced take theirs from ``spliced``.  Both kinds appear
+    in BFS order, interleaved where the traversal placed them.
+    """
+    result = SynthesisResult(
+        spec=spec, database=flake.database, steps=flake.steps
+    )
+    solved = {(fk.child, fk.column): step for fk, step in flake.steps}
+    for fk in flake.edges:
+        key = (fk.child, fk.column)
+        step = solved.get(key)
+        if step is None:
+            result.edges.append(spliced[key])
+            continue
+        result.edges.append(
+            edge_report(fk, step, constraints.get(key, EdgeConstraints()))
+        )
+    return result
+
+
 def synthesize(spec: SynthesisSpec) -> SynthesisResult:
     """Execute a declarative workload end to end.
 
-    Builds the database, plans the edge order, and solves every FK edge
-    with its declared constraint sets and Phase-II strategy.  Two-table
-    workloads are simply one-edge snowflakes.
+    Builds the database and solves every FK edge, BFS outward from the
+    fact table, with its declared constraint sets and Phase-II strategy.
+    Two-table workloads are simply one-edge snowflakes.
     """
     spec.validate()
     with spill_guard(spec):
@@ -294,12 +316,4 @@ def synthesize(spec: SynthesisSpec) -> SynthesisResult:
         flake = SnowflakeSynthesizer(spec.options).solve(
             database, spec.fact(), constraints
         )
-
-    result = SynthesisResult(spec=spec, database=flake.database)
-    for fk, step in flake.steps:
-        edge_constraints = constraints.get(
-            (fk.child, fk.column), EdgeConstraints()
-        )
-        result.steps.append((fk, step))
-        result.edges.append(edge_report(fk, step, edge_constraints))
-    return result
+    return synthesis_result(spec, flake, constraints, {})

@@ -330,3 +330,49 @@ class TestExampleSpecs:
             sequential = synthesize(spec.with_options(workers=0))
             parallel = synthesize(spec.with_options(workers=workers))
             assert_databases_equal(sequential.database, parallel.database)
+
+
+class TestPooledMmapParent:
+    def test_pooled_edge_into_a_parent_with_an_imputed_fk(self):
+        """An mmap parent whose own FK was imputed in an earlier batch is
+        a composite store; pooling an edge into it must keep the owning
+        relation, not the worker's handle on the same directories."""
+        from repro.spec import SpecBuilder, synthesize
+
+        rng = np.random.default_rng(0)
+        builder = SpecBuilder("overlaid-parent")
+        builder.relation(
+            "F",
+            columns={
+                "fid": list(range(10)),
+                "W": rng.integers(0, 3, 10).tolist(),
+            },
+            key="fid",
+        )
+        for name, rows in [("A", 6), ("B", 6), ("E", 6), ("C", 3), ("G", 3)]:
+            builder.relation(
+                name,
+                columns={
+                    "k": list(range(rows)),
+                    f"{name}x": rng.integers(0, 3, rows).tolist(),
+                },
+                key="k",
+            )
+        # Layer 1 batches as [B -> C], then [A -> B, E -> G] on the pool:
+        # by then B carries its imputed fk_c overlay.
+        for child, column, parent in [
+            ("F", "fk_b", "B"),
+            ("F", "fk_a", "A"),
+            ("F", "fk_e", "E"),
+            ("B", "fk_c", "C"),
+            ("A", "fk_ab", "B"),
+            ("E", "fk_g", "G"),
+        ]:
+            builder.edge(child, column, parent)
+        spec = builder.fact_table("F").build()
+
+        sequential = synthesize(spec)
+        pooled = synthesize(
+            spec.with_options(workers=2, storage="mmap", chunk_rows=4)
+        )
+        assert_databases_equal(sequential.database, pooled.database)

@@ -16,9 +16,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.snowflake import SnowflakeSynthesizer
 from repro.service.cache import EdgeCache
 from repro.service.engine import SynthesisCancelled, run_spec
 from repro.spec import SpecBuilder, synthesize
+from repro.spec.api import edge_constraint_map
 
 
 def assert_identical(a, b) -> None:
@@ -182,10 +184,87 @@ class TestIncrementalResynthesis:
         assert events[-1]["cache_misses"] == 0
 
 
+class TestEventStream:
+    """``solve`` and ``run_spec`` are one traversal, so one event stream.
+
+    The arms give a second BFS layer with two conflict-free edges
+    (``D0 -> S0``, ``D1 -> S1``), which ``workers=2`` solves on the pool.
+    """
+
+    ARMS = [(6, 2, True, "cc"), (5, 2, True, "dc")]
+
+    @staticmethod
+    def shape(events):
+        return [(e["type"], e["edge"], e.get("index")) for e in events]
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_solve_and_run_spec_emit_the_same_stream(self, workers):
+        spec = build_workload_spec(self.ARMS, seed=13, workers=workers)
+        direct = []
+        SnowflakeSynthesizer(spec.options).solve(
+            spec.to_database(),
+            spec.fact(),
+            edge_constraint_map(spec),
+            on_event=direct.append,
+        )
+        served = []
+        run_spec(
+            build_workload_spec(self.ARMS, seed=13, workers=workers),
+            on_event=served.append,
+        )
+        assert self.shape(direct) == self.shape(served)
+        types = [e["type"] for e in direct]
+        assert types.count("edge_solved") == 4
+        # Pooled, the last layer's two edges start before either lands.
+        pooled = ["edge_started"] * 2 + ["edge_solved"] * 2
+        assert (types[4:] == pooled) == (workers == 2)
+        for event in direct + served:
+            assert event["total_edges"] == 4
+            assert "cache_hits" in event and "cache_misses" in event
+        assert direct[-1]["cache_misses"] == 4
+        assert direct[-1]["cache_hits"] == 0
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_warm_run_replays_original_timings(self, tmp_path, workers):
+        cache = EdgeCache(tmp_path / "c")
+        cold = []
+        run_spec(
+            build_workload_spec(self.ARMS, seed=13, workers=workers),
+            cache=cache,
+            on_event=cold.append,
+        )
+        warm = []
+        run_spec(
+            build_workload_spec(self.ARMS, seed=13, workers=workers),
+            cache=cache,
+            on_event=warm.append,
+        )
+        solved = {
+            e["edge"]: (e["wall_s"], e["solve_s"])
+            for e in cold
+            if e["type"] == "edge_solved"
+        }
+        assert len(warm) == len(solved) == 4
+        for event in warm:
+            assert event["type"] == "edge_cached"
+            assert (event["wall_s"], event["solve_s"]) == solved[event["edge"]]
+            assert event["total_edges"] == 4
+            assert event["cache_misses"] == 0
+        assert [e["cache_hits"] for e in warm] == [1, 2, 3, 4]
+
+
 class TestCrashResume:
-    def test_killed_run_resumes_from_checkpoints(self, tmp_path):
+    @pytest.mark.parametrize(
+        ("workers", "crash_after"),
+        # The third edge_solved lands inside the pooled D0->S0 / D1->S1
+        # batch: its result must be checkpointed before it is announced.
+        [(0, 2), (2, 3)],
+    )
+    def test_killed_run_resumes_from_checkpoints(
+        self, tmp_path, workers, crash_after
+    ):
         arms = [(6, 2, True, "cc"), (5, 2, True, "dc")]
-        spec = build_workload_spec(arms, seed=13)
+        spec = build_workload_spec(arms, seed=13, workers=workers)
         total = len(spec.edges)
         assert total == 4
         cold = synthesize(build_workload_spec(arms, seed=13))
@@ -193,7 +272,7 @@ class TestCrashResume:
         class Crash(RuntimeError):
             pass
 
-        def crash_after(n):
+        def crash_hook(n):
             count = {"solved": 0}
 
             def hook(event):
@@ -207,21 +286,22 @@ class TestCrashResume:
         cache = EdgeCache(tmp_path / "c")
         with pytest.raises(Crash):
             run_spec(
-                build_workload_spec(arms, seed=13),
+                build_workload_spec(arms, seed=13, workers=workers),
                 cache=cache,
-                on_event=crash_after(2),
+                on_event=crash_hook(crash_after),
             )
-        # The two completed edges are checkpointed on disk.
-        assert len(EdgeCache(tmp_path / "c")) == 2
+        # Every announced edge is checkpointed on disk.
+        assert len(EdgeCache(tmp_path / "c")) == crash_after
 
         # Resume in a "fresh process": hits for the checkpointed edges,
         # solves for the rest, final database identical to a cold run.
         resumed = run_spec(
-            build_workload_spec(arms, seed=13),
+            build_workload_spec(arms, seed=13, workers=workers),
             cache=EdgeCache(tmp_path / "c"),
         )
-        assert sum(e.cache_hit for e in resumed.edges) == 2
-        assert sum(not e.cache_hit for e in resumed.edges) == 2
+        resolved = total - crash_after
+        assert sum(e.cache_hit for e in resumed.edges) == crash_after
+        assert sum(not e.cache_hit for e in resumed.edges) == resolved
         assert_identical(resumed.database, cold.database)
 
     def test_cancellation_between_edges(self, tmp_path):
