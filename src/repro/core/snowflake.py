@@ -64,6 +64,7 @@ from repro.relational.database import Database, ForeignKey
 from repro.relational.executor import executor_from_config
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnSpec
+from repro.solver import preload_backend
 
 __all__ = [
     "EdgeConstraints",
@@ -353,12 +354,15 @@ class SnowflakeSynthesizer:
         result = SnowflakeResult(database=work)
         completed: Set[Tuple[str, str]] = set()
 
+        def edge_constraints(fk: ForeignKey) -> EdgeConstraints:
+            return constraints.get((fk.child, fk.column), EdgeConstraints())
+
         def edge_inputs(fk: ForeignKey) -> EdgeInputs:
             return (
                 self._extended_view(work, fk.child, completed),
                 work.relation(fk.parent),
                 fk.column,
-                constraints.get((fk.child, fk.column), EdgeConstraints()),
+                edge_constraints(fk),
                 self.config,
             )
 
@@ -436,6 +440,18 @@ class SnowflakeSynthesizer:
                         continue
                     # Fan out: every edge solves against the batch-start
                     # snapshot; results commit in BFS order as they land.
+                    # Workers forked from here on inherit the parent's
+                    # modules: load the ILP backend of every edge with CCs
+                    # once now, not in each worker's first solve.  Under
+                    # spawn/forkserver the workers gain nothing from it.
+                    for backend in sorted(
+                        {
+                            ec.effective_config(self.config).backend
+                            for ec in map(edge_constraints, pending)
+                            if ec.ccs
+                        }
+                    ):
+                        preload_backend(backend)
                     if pool is None:
                         pool = ProcessPoolExecutor(max_workers=workers)
                     payloads = []

@@ -15,6 +15,7 @@ Pipeline:
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -215,8 +216,21 @@ def _complete_leftovers(
 ) -> None:
     """Finish partial rows and place untouched rows on unused combos.
 
-    Decisions are cached per (bin, partial-assignment) because every row in
-    an intervalized bin satisfies exactly the same CC R1-conditions.
+    Rows are grouped into decision classes keyed by (CC-match pattern,
+    partial-assignment signature).  The pattern records, per CC and
+    disjunct, whether the row's bin satisfies that disjunct's R1
+    condition; it is all the decision reads from the bin, so every row of
+    a class gets the same candidate combos.  On a CC-free edge the pattern
+    is empty and a whole edge's untouched rows form one class, however
+    finely its R1 attributes (unique FK columns included) split the bins.
+
+    Each row then takes the candidate with the lowest load ratio
+    ``(load + 1) / max(1, key capacity)``, ties to the lowest combo
+    index.  Per class the candidates sit in a heap of
+    ``(ratio, combo_index)``: load only grows, so a stale top entry is
+    re-pushed with its current ratio until the top is current — the same
+    choice, tie order included, as a ``min`` over the ascending candidate
+    list.
     """
     combos = catalog.combos
     if not combos:
@@ -244,14 +258,16 @@ def _complete_leftovers(
             split.append((r1_part, r2_part, combo_match))
         cc_splits.append(split)
 
-    bin_cc_cache: Dict[tuple, List[np.ndarray]] = {}
+    bin_cc_cache: Dict[tuple, Tuple[bytes, List[np.ndarray]]] = {}
 
-    def bin_cc_match(key: tuple) -> List[np.ndarray]:
+    def bin_cc_match(key: tuple) -> Tuple[bytes, List[np.ndarray]]:
         """Per CC: boolean array over its disjuncts — does the bin match
-        that disjunct's R1 condition?"""
+        that disjunct's R1 condition? — and those arrays' bytes, the
+        bin's CC-match pattern (every CC has a fixed disjunct count, so
+        the bytes identify the arrays)."""
         cached = bin_cc_cache.get(key)
         if cached is None:
-            cached = [
+            match = [
                 np.asarray(
                     [
                         binning.bin_matches(key, r1_part)
@@ -261,6 +277,7 @@ def _complete_leftovers(
                 )
                 for split in cc_splits
             ]
+            cached = (b"".join(m.tobytes() for m in match), match)
             bin_cc_cache[key] = cached
         return cached
 
@@ -275,44 +292,49 @@ def _complete_leftovers(
     signatures = assignment.code_rows(pending)
     num_set = (signatures >= 0).sum(axis=1)
 
-    decision_cache: Dict[tuple, Tuple[List[int], bool]] = {}
     # Load balancing: spreading the free rows across equally-safe combos in
     # proportion to how many R2 keys carry each combo keeps Phase II from
     # having to mint fresh keys for overloaded combos.
-    key_capacity = {
-        c: len(catalog.keys_by_combo.get(combo, ()))
-        for c, combo in enumerate(combos)
-    }
-    load = {c: 0 for c in range(num_combos)}
+    capacity = [
+        max(1, len(catalog.keys_by_combo.get(combo, ()))) for combo in combos
+    ]
+    load = [0] * num_combos
+
+    def ratio(c: int) -> float:
+        return (load[c] + 1) / capacity[c]
+
+    heaps: Dict[Tuple[bytes, bytes], List[Tuple[float, int]]] = {}
     chosen_rows: Dict[int, List[int]] = {}
 
     for pos, (row, key) in enumerate(zip(pending.tolist(), keys)):
-        cache_key = (key, signatures[pos].tobytes())
-        decision = decision_cache.get(cache_key)
-        if decision is None:
-            partial = assignment.values(row) or {}
-            decision = _choose_combo(
-                partial,
+        pattern, match = bin_cc_match(key)
+        class_key = (pattern, signatures[pos].tobytes())
+        heap = heaps.get(class_key)
+        if heap is None:
+            candidates, _clean = _choose_combo(
+                assignment.values(row) or {},
                 catalog,
                 cc_splits,
-                bin_cc_match(key),
+                match,
                 num_combos,
                 untouched=num_set[pos] == 0,
             )
-            decision_cache[cache_key] = decision
-        candidates, clean = decision
-        if not candidates:
+            # When `_clean` is False the best available combos still add a
+            # CC contribution; the row stays valid (it has concrete B
+            # values) but contributes CC error, exactly like the paper's
+            # non-exact cases.
+            heap = [(ratio(c), c) for c in candidates]
+            heapq.heapify(heap)
+            heaps[class_key] = heap
+        if not heap:
             assignment.mark_invalid(row)
             continue
-        combo_index = min(
-            candidates,
-            key=lambda c: (load[c] + 1) / max(1, key_capacity[c]),
-        )
+        while heap[0][0] != ratio(heap[0][1]):
+            heapq.heapreplace(heap, (ratio(heap[0][1]), heap[0][1]))
+        combo_index = heap[0][1]
         load[combo_index] += 1
+        heapq.heapreplace(heap, (ratio(combo_index), combo_index))
         chosen_rows.setdefault(combo_index, []).append(row)
-        # When `clean` is False the best available combos still add a CC
-        # contribution; the row stays valid (it has concrete B values) but
-        # contributes CC error, exactly like the paper's non-exact cases.
 
     # Commit the decisions combo-by-combo in bulk vector writes.
     for combo_index, rows in chosen_rows.items():
@@ -327,7 +349,7 @@ def _choose_combo(
     num_combos: int,
     untouched: bool,
 ) -> Tuple[List[int], bool]:
-    """Find the least-damaging combos for one (bin, partial) class.
+    """Find the least-damaging combos for one (CC pattern, partial) class.
 
     Returns ``(tied_best_combo_indices, clean)``; ``clean`` means those
     choices add no new CC contribution.  Untouched rows with no clean

@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import Relation, parse_cc, parse_dc
 from repro.datagen import CensusConfig, all_dcs, cc_family, generate_census
+
+# Test-only references are imported as ``tests.reference.<module>``; the
+# repository root is on ``sys.path`` under ``python -m pytest`` but not
+# under the bare ``pytest`` command.
+_ROOT = str(Path(__file__).resolve().parents[1])
+if _ROOT not in sys.path:
+    sys.path.append(_ROOT)
 
 
 @pytest.fixture(scope="session")

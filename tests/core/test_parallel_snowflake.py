@@ -376,3 +376,105 @@ class TestPooledMmapParent:
             spec.with_options(workers=2, storage="mmap", chunk_rows=4)
         )
         assert_databases_equal(sequential.database, pooled.database)
+
+
+#: Solves a two-arm snowflake in a fresh interpreter and reports whether
+#: the parent process ended up with ``scipy.optimize`` loaded.  Layer 1
+#: (``D0 -> S0``, ``D1 -> S1``) is one conflict-free batch, pooled when
+#: ``workers >= 2``; its single CC per edge is served by Algorithm 2, so
+#: no in-process solve ever reaches the ILP.
+_PRELOAD_SCRIPT = """
+import json
+import sys
+
+from repro.constraints.parser import parse_cc
+from repro.core.config import SolverConfig
+from repro.core.snowflake import EdgeConstraints, SnowflakeSynthesizer
+from repro.relational.database import Database
+from repro.relational.relation import Relation
+
+backend, workers, with_ccs = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+db = Database()
+db.add_relation(
+    "F",
+    Relation.from_columns(
+        {"fid": list(range(12)), "W": [i % 3 for i in range(12)]}, key="fid"
+    ),
+)
+constraints = {}
+for i in range(2):
+    db.add_relation(
+        f"D{i}",
+        Relation.from_columns(
+            {f"d{i}": list(range(6)), f"X{i}": [j % 3 for j in range(6)]},
+            key=f"d{i}",
+        ),
+    )
+    db.add_relation(
+        f"S{i}",
+        Relation.from_columns(
+            {f"s{i}": [0, 1, 2], f"C{i}": ["c0", "c1", "c0"]}, key=f"s{i}"
+        ),
+    )
+    db.add_foreign_key("F", f"fk_d{i}", f"D{i}")
+    db.add_foreign_key(f"D{i}", f"fk_s{i}", f"S{i}")
+    if with_ccs == "1":
+        constraints[(f"D{i}", f"fk_s{i}")] = EdgeConstraints(
+            ccs=[parse_cc(f"|X{i} == 1 & C{i} == 'c0'| = 2")]
+        )
+
+
+def run(workers):
+    synthesizer = SnowflakeSynthesizer(SolverConfig(backend=backend))
+    return synthesizer.solve(db, "F", constraints, workers=workers).database
+
+
+solved = run(workers)
+loaded = "scipy.optimize" in sys.modules
+print(json.dumps({"loaded": loaded, "identical": solved.identical_to(run(0))}))
+"""
+
+
+class TestBackendPreload:
+    @pytest.mark.parametrize(
+        "backend, workers, with_ccs, loaded",
+        [
+            ("scipy", 2, True, True),
+            ("native", 2, True, False),
+            ("scipy", 2, False, False),
+            ("scipy", 0, True, False),
+        ],
+    )
+    def test_parent_loads_the_ilp_backend_only_before_forking_cc_edges(
+        self, backend, workers, with_ccs, loaded
+    ):
+        """A pooled batch with CC edges on the scipy backend loads scipy
+        in the parent, so forked workers start warm; CC-free batches,
+        the native backend and in-process runs leave it unloaded."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                _PRELOAD_SCRIPT,
+                backend,
+                str(workers),
+                "1" if with_ccs else "0",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        report = json.loads(completed.stdout.strip().splitlines()[-1])
+        assert report == {"loaded": loaded, "identical": True}
