@@ -2,7 +2,7 @@
 
 The pipeline's Phase II — turning the Phase-I view assignment into a
 concrete FK column — has more than one valid realisation: the paper's
-list coloring (Algorithms 3-4) and the capacity-capped variant of the
+list coloring (Algorithms 3-4) and the capacity-capped variants of the
 future-work extension.  Rather than parallel ``solve_*`` entrypoints,
 each realisation registers here as a named *strategy* and the solver
 dispatches by name, so new Phase-II behaviours (quota coloring, soft
@@ -16,6 +16,15 @@ A strategy is a callable::
 where ``options`` carries the strategy-specific knobs (e.g. the capacity
 strategy's ``max_per_key``).  Built-in strategies load lazily so that
 importing :mod:`repro.core` never drags in the extension modules.
+
+Every built-in strategy is option validation plus a coloring rule handed
+to :func:`repro.phase2.fk_assignment.run_phase2`, the one Algorithm-4
+driver: ``"coloring"`` passes the default rule (plain Algorithm 3/4, the
+only one the ``partitioned_coloring``/``parallel_workers`` ablation
+knobs apply to); the extensions pass a
+:class:`~repro.phase2.fk_assignment.ColoringRule` whose ``choose`` hook
+caps or penalises key usage inside the one largest-first pass.  A
+third-party strategy may do the same or build its own Phase II.
 """
 
 from __future__ import annotations

@@ -13,6 +13,11 @@ Algorithm 3's DC-based forbidding.  Skipped vertices receive fresh keys
 exactly as in Algorithm 4, so the capacity invariant always holds in the
 output (at the price of possibly more fresh R2 tuples).
 
+The cap is a coloring rule, not a separate pass: :func:`capped_choice`
+is a ``choose`` hook for :func:`repro.phase2.coloring.coloring_lf`, and
+the strategy hands it to :func:`repro.phase2.fk_assignment.run_phase2`,
+the one Algorithm-4 driver.
+
 The capacity pass is registered as the ``"capacity"`` Phase-II strategy
 (see :mod:`repro.core.stages`), so the unified solver and the spec-driven
 :func:`repro.synthesize` front door reach it by name;
@@ -22,7 +27,6 @@ path.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -34,28 +38,36 @@ from repro.core.stages import register_phase2_strategy
 from repro.errors import ReproError
 from repro.phase1.assignment import ViewAssignment
 from repro.phase1.combos import ComboCatalog
-from repro.phase2.edges import build_conflict_graph
-from repro.phase2.fk_assignment import (
-    FreshKeyFactory,
-    MintPool,
-    Phase2Result,
-    Phase2Stats,
-    assign_invalid_fresh,
-    color_skipped_with_fresh,
-    new_key_recorder,
-    partition_by_combo,
-)
+from repro.phase2.coloring import Choose, coloring_lf
+from repro.phase2.fk_assignment import ColoringRule, Phase2Result, run_phase2
 from repro.phase2.hypergraph import ConflictHypergraph
-from repro.relational.ordering import sort_key, tuple_sort_key
+from repro.relational.executor import executor_from_config
 from repro.relational.relation import Relation
-from repro.relational.schema import ColumnSpec
 
 __all__ = [
+    "capped_choice",
     "capacity_coloring",
     "CapacityResult",
     "solve_with_capacity",
     "fk_usage_histogram",
 ]
+
+
+def capped_choice(max_per_key: int, usage: Dict[object, int]) -> Choose:
+    """The capacity rule for :func:`~repro.phase2.coloring.coloring_lf`:
+    the first permitted candidate whose ``usage`` is still below
+    ``max_per_key`` (the pick is counted in ``usage``)."""
+    if max_per_key < 1:
+        raise ReproError("max_per_key must be at least 1")
+
+    def choose(pool, forbidden):
+        for c in pool:
+            if c not in forbidden and usage.get(c, 0) < max_per_key:
+                usage[c] = usage.get(c, 0) + 1
+                return c
+        return None
+
+    return choose
 
 
 def capacity_coloring(
@@ -71,41 +83,11 @@ def capacity_coloring(
     whose usage has reached ``max_per_key`` is unavailable.  ``usage`` may
     carry pre-existing counts (e.g. from earlier partitions sharing keys).
     """
-    if max_per_key < 1:
-        raise ReproError("max_per_key must be at least 1")
-    coloring = coloring if coloring is not None else {}
-    usage = usage if usage is not None else {}
-    for color in coloring.values():
-        usage.setdefault(color, 0)
-
-    order = sorted(
-        (v for v in graph.vertices if v not in coloring),
-        key=lambda v: (-graph.degree(v), v),
+    choose = capped_choice(max_per_key, usage if usage is not None else {})
+    return coloring_lf(
+        graph, coloring if coloring is not None else {}, candidates,
+        choose=choose,
     )
-    skipped: List[int] = []
-    for v in order:
-        forbidden = set()
-        for edge in graph.incident_edges(v):
-            others = [u for u in edge if u != v]
-            colors = {coloring.get(u) for u in others}
-            if len(colors) == 1:
-                (only,) = colors
-                if only is not None:
-                    forbidden.add(only)
-        chosen = next(
-            (
-                c
-                for c in candidates
-                if c not in forbidden and usage.get(c, 0) < max_per_key
-            ),
-            None,
-        )
-        if chosen is None:
-            skipped.append(v)
-        else:
-            coloring[v] = chosen
-            usage[chosen] = usage.get(chosen, 0) + 1
-    return coloring, skipped
 
 
 @dataclass
@@ -146,9 +128,9 @@ def capacity_phase2(
 ) -> Phase2Result:
     """The ``"capacity"`` Phase-II strategy: Algorithm 4 with a usage cap.
 
-    Swaps Algorithm 3 for :func:`capacity_coloring`.  All DCs hold exactly
-    and every key serves at most ``options["max_per_key"]`` rows; both
-    invariants are enforced even for invalid tuples (which here always
+    Colors every partition with :func:`capped_choice`.  All DCs hold
+    exactly and every key serves at most ``options["max_per_key"]`` rows;
+    both invariants are enforced even for invalid tuples (which here always
     receive fresh keys — the safest capacity-respecting choice).
     """
     options = dict(options or {})
@@ -157,65 +139,18 @@ def capacity_phase2(
         raise ReproError(
             f"unknown capacity strategy options {sorted(options)}"
         )
-    if not isinstance(max_per_key, int):
+    if not isinstance(max_per_key, int) or isinstance(max_per_key, bool):
         raise ReproError(
             "the capacity strategy requires an integer 'max_per_key' option"
         )
-
-    stats = Phase2Stats()
-    key_column = r2.schema.key
-    factory = FreshKeyFactory(list(r2.column(key_column)))
-    pool = MintPool(factory)
-    keys_by_combo = {c: list(k) for c, k in catalog.keys_by_combo.items()}
-    new_rows: List[tuple] = []
-    coloring: Dict[int, object] = {}
     usage: Dict[object, int] = {}
-    record_new_key = new_key_recorder(
-        r2, catalog, keys_by_combo, new_rows, stats
-    )
-
-    from repro.relational.executor import executor_from_config
-
-    partitions: Dict[tuple, List[int]] = partition_by_combo(
-        assignment, r1, executor=executor_from_config(config)
-    )
-
-    started = time.perf_counter()
-    for combo in sorted(partitions.keys(), key=tuple_sort_key):
-        rows = partitions[combo]
-        graph = build_conflict_graph(r1, dcs, rows)
-        stats.num_partitions += 1
-        stats.num_edges += graph.num_edges
-        candidates = sorted(keys_by_combo.get(combo, []), key=sort_key)
-        part_coloring, skipped = capacity_coloring(
-            graph, candidates, max_per_key, {}, usage
-        )
-        stats.num_skipped += len(skipped)
-        part_coloring = color_skipped_with_fresh(
-            len(rows), part_coloring, skipped, pool, combo, record_new_key,
-            lambda fresh, col, graph=graph: capacity_coloring(
-                graph, fresh, max_per_key, col, usage
-            ),
-            label="capacity coloring",
-        )
-        coloring.update(part_coloring)
-    stats.coloring_seconds = time.perf_counter() - started
-
-    # Invalid tuples: fresh keys with an arbitrary safe combo (capacity 1
-    # usage each) — the conservative capacity-respecting escape hatch.
-    started = time.perf_counter()
-    stats.num_invalid_handled = assign_invalid_fresh(
-        r1, ccs, assignment, catalog, pool, coloring, record_new_key,
-        usage=usage,
-    )
-    stats.invalid_seconds = time.perf_counter() - started
-
-    fk_values = [coloring[row] for row in range(assignment.n)]
-    key_dtype = r2.schema.dtype(key_column)
-    r1_hat = r1.with_column(ColumnSpec(fk_column, key_dtype), fk_values)
-    r2_hat = r2.append_rows(new_rows)
-    return Phase2Result(
-        r1_hat=r1_hat, r2_hat=r2_hat, coloring=coloring, stats=stats
+    choose = capped_choice(max_per_key, usage)
+    return run_phase2(
+        r1, r2, dcs, assignment, catalog, fk_column, ccs=ccs,
+        executor=executor_from_config(config),
+        rule=ColoringRule(
+            lambda combo: choose, fresh_invalid=True, usage=usage
+        ),
     )
 
 

@@ -7,7 +7,9 @@ is unlimited".  Each combo partition (the Section 5.2 partitioning,
 computed by the columnar ``group_by_combo`` kernel) is colored with its
 own per-key quota; partitions without a quota run the paper's plain
 Algorithm 3/4, so a quota-free edge is output-identical to the
-``"coloring"`` strategy.
+``"coloring"`` strategy.  Both are coloring rules handed to
+:func:`repro.phase2.fk_assignment.run_phase2`, the one Algorithm-4
+driver.
 
 Options:
 
@@ -36,33 +38,20 @@ In TOML::
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.constraints.cc import CardinalityConstraint
 from repro.constraints.dc import DenialConstraint
 from repro.core.config import SolverConfig
 from repro.core.stages import register_phase2_strategy
-from repro.errors import ColoringError, ReproError
-from repro.extensions.capacity import capacity_coloring
+from repro.errors import ReproError
+from repro.extensions.capacity import capped_choice
 from repro.phase1.assignment import ViewAssignment
 from repro.phase1.combos import ComboCatalog
-from repro.phase2.edges import build_conflict_graph
-from repro.phase2.fk_assignment import (
-    FreshKeyFactory,
-    MintPool,
-    Phase2Result,
-    Phase2Stats,
-    assign_invalid_fresh,
-    color_partition,
-    color_skipped_with_fresh,
-    new_key_recorder,
-    partition_by_combo,
-)
-from repro.phase2.invalid import solve_invalid_tuples
-from repro.relational.ordering import sort_key, tuple_sort_key
+from repro.phase2.coloring import Choose
+from repro.phase2.fk_assignment import ColoringRule, Phase2Result, run_phase2
+from repro.relational.executor import executor_from_config
 from repro.relational.relation import Relation
-from repro.relational.schema import ColumnSpec
 
 __all__ = ["resolve_quota", "quota_coloring_phase2"]
 
@@ -137,13 +126,14 @@ def quota_coloring_phase2(
 ) -> Phase2Result:
     """The ``"quota_coloring"`` Phase-II strategy.
 
-    Partitions are always colored sequentially per combo (quotas are
-    per-combo state, so the ``partitioned_coloring``/``parallel_workers``
-    ablation knobs do not apply).  With no quotas configured at all the
-    output is identical to the ``"coloring"`` strategy, invalid-tuple
-    handling included; with quotas, invalid tuples take the conservative
-    fresh-key escape hatch (one key per row, which can never breach a
-    quota).
+    Each quota'd partition is colored with :func:`capped_choice` at its
+    quota, every other one with plain Algorithm 3.  Partitions are always
+    colored sequentially per combo (quotas are per-combo state, so the
+    ``partitioned_coloring``/``parallel_workers`` ablation knobs do not
+    apply).  With no quotas configured at all the output is identical to
+    the ``"coloring"`` strategy, invalid-tuple handling included; with
+    quotas, invalid tuples take the conservative fresh-key escape hatch
+    (one key per row, which can never breach a quota).
     """
     options = dict(options or {})
     quotas, default_quota = _validated_quotas(options)
@@ -162,95 +152,15 @@ def quota_coloring_phase2(
                 f"quota match references unknown R2 attributes "
                 f"{sorted(bad)} (known: {sorted(known_attrs)})"
             )
-    unlimited = not quotas and default_quota is None
 
-    stats = Phase2Stats()
-    key_column = r2.schema.key
-    factory = FreshKeyFactory(list(r2.column(key_column)))
-    pool = MintPool(factory)
-    keys_by_combo = {c: list(k) for c, k in catalog.keys_by_combo.items()}
-    new_rows: List[tuple] = []
-    coloring: Dict[int, object] = {}
-    record_new_key = new_key_recorder(
-        r2, catalog, keys_by_combo, new_rows, stats
-    )
-
-    from repro.relational.executor import executor_from_config
-
-    partitions: Dict[tuple, List[int]] = partition_by_combo(
-        assignment, r1, executor=executor_from_config(config)
-    )
-
-    for combo in sorted(partitions.keys(), key=tuple_sort_key):
-        rows = partitions[combo]
-        started = time.perf_counter()
-        graph = build_conflict_graph(r1, dcs, rows)
-        stats.edge_seconds += time.perf_counter() - started
-        stats.num_edges += graph.num_edges
-        stats.num_partitions += 1
-
-        candidates = sorted(keys_by_combo.get(combo, []), key=sort_key)
-        if not candidates:
-            raise ColoringError(
-                f"no candidate keys for combo {combo!r}; Phase I "
-                "assigned a combination absent from R2"
-            )
+    def choose_for(combo: tuple) -> Optional[Choose]:
         quota = resolve_quota(catalog.as_dict(combo), quotas, default_quota)
-        started = time.perf_counter()
-        if quota is None:
-            # Unlimited partition: the paper's plain Algorithm 3/4 pass.
-            part_coloring, used_fresh = color_partition(
-                graph, candidates, pool, stats
-            )
-            for key in used_fresh:
-                record_new_key(key, combo)
-        else:
-            usage: Dict[object, int] = {}
-            part_coloring, skipped = capacity_coloring(
-                graph, candidates, quota, {}, usage
-            )
-            stats.num_skipped += len(skipped)
-            part_coloring = color_skipped_with_fresh(
-                len(rows), part_coloring, skipped, pool, combo,
-                record_new_key,
-                lambda fresh, col, graph=graph, quota=quota: (
-                    capacity_coloring(graph, fresh, quota, col, usage)
-                ),
-                label="quota coloring",
-            )
-        stats.coloring_seconds += time.perf_counter() - started
-        coloring.update(part_coloring)
+        # Quotas are per-combo state: each partition counts its own usage.
+        return None if quota is None else capped_choice(quota, {})
 
-    # ------------------------------------------------------------------
-    # Invalid tuples.
-    # ------------------------------------------------------------------
-    started = time.perf_counter()
-    if unlimited:
-        if assignment.invalid:
-            stats.num_invalid_handled = solve_invalid_tuples(
-                r1=r1,
-                dcs=dcs,
-                ccs=ccs,
-                assignment=assignment,
-                catalog=catalog,
-                coloring=coloring,
-                keys_by_combo=keys_by_combo,
-                factory=pool,
-                record_new_key=record_new_key,
-            )
-    else:
-        stats.num_invalid_handled = assign_invalid_fresh(
-            r1, ccs, assignment, catalog, pool, coloring, record_new_key
-        )
-    stats.invalid_seconds = time.perf_counter() - started
-
-    missing = [row for row in range(assignment.n) if row not in coloring]
-    if missing:
-        raise ColoringError(f"{len(missing)} rows ended up uncolored")
-    fk_values = [coloring[row] for row in range(assignment.n)]
-    key_dtype = r2.schema.dtype(key_column)
-    r1_hat = r1.with_column(ColumnSpec(fk_column, key_dtype), fk_values)
-    r2_hat = r2.append_rows(new_rows)
-    return Phase2Result(
-        r1_hat=r1_hat, r2_hat=r2_hat, coloring=coloring, stats=stats
+    unlimited = not quotas and default_quota is None
+    return run_phase2(
+        r1, r2, dcs, assignment, catalog, fk_column, ccs=ccs,
+        executor=executor_from_config(config),
+        rule=ColoringRule(choose_for, fresh_invalid=not unlimited),
     )

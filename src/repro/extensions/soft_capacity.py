@@ -24,12 +24,16 @@ tuple; ``inf`` by default, i.e. never mint just to dodge an overflow).
 The per-key overflow that was accepted is reported in
 :attr:`Phase2Result.overflow` and summed in
 :attr:`Phase2Stats.total_overflow`.
+
+The penalised choice is a coloring rule (:func:`penalised_choice`, a
+``choose`` hook for :func:`repro.phase2.coloring.coloring_lf`) handed to
+:func:`repro.phase2.fk_assignment.run_phase2`, the one Algorithm-4
+driver.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.constraints.cc import CardinalityConstraint
@@ -39,23 +43,53 @@ from repro.core.stages import register_phase2_strategy
 from repro.errors import ReproError
 from repro.phase1.assignment import ViewAssignment
 from repro.phase1.combos import ComboCatalog
-from repro.phase2.edges import build_conflict_graph
-from repro.phase2.fk_assignment import (
-    FreshKeyFactory,
-    MintPool,
-    Phase2Result,
-    Phase2Stats,
-    assign_invalid_fresh,
-    color_skipped_with_fresh,
-    new_key_recorder,
-    partition_by_combo,
-)
+from repro.phase2.coloring import Choose, coloring_lf
+from repro.phase2.fk_assignment import ColoringRule, Phase2Result, run_phase2
 from repro.phase2.hypergraph import ConflictHypergraph
-from repro.relational.ordering import sort_key, tuple_sort_key
+from repro.relational.executor import executor_from_config
 from repro.relational.relation import Relation
-from repro.relational.schema import ColumnSpec
 
-__all__ = ["soft_capacity_coloring", "soft_capacity_phase2"]
+__all__ = [
+    "penalised_choice",
+    "soft_capacity_coloring",
+    "soft_capacity_phase2",
+]
+
+
+def penalised_choice(
+    max_per_key: int,
+    penalty: float,
+    new_tuple_cost: float,
+    usage: Dict[object, int],
+) -> Choose:
+    """The soft-capacity rule for
+    :func:`~repro.phase2.coloring.coloring_lf`: the cheapest permitted
+    candidate under the overflow penalty, or ``None`` (skip) when that
+    cost exceeds ``new_tuple_cost``.  The pick is counted in ``usage``."""
+    if max_per_key < 1:
+        raise ReproError("max_per_key must be at least 1")
+
+    def choose(pool, forbidden):
+        best = None
+        best_cost = math.inf
+        for c in pool:
+            if c in forbidden:
+                continue
+            over = usage.get(c, 0) + 1 - max_per_key
+            cost = 0.0 if over <= 0 else penalty * over
+            if cost < best_cost:
+                best_cost = cost
+                best = c
+                if cost == 0.0:
+                    break  # first under-cap candidate == the hard choice
+        # A chosen ``best`` has a finite cost: an infinite one never
+        # beats the initial ``best_cost``.
+        if best is None or best_cost > new_tuple_cost:
+            return None
+        usage[best] = usage.get(best, 0) + 1
+        return best
+
+    return choose
 
 
 def soft_capacity_coloring(
@@ -76,45 +110,14 @@ def soft_capacity_coloring(
     pass reproduces :func:`repro.extensions.capacity.capacity_coloring`
     choice-for-choice.
     """
-    if max_per_key < 1:
-        raise ReproError("max_per_key must be at least 1")
-    coloring = coloring if coloring is not None else {}
-    usage = usage if usage is not None else {}
-    for color in coloring.values():
-        usage.setdefault(color, 0)
-
-    order = sorted(
-        (v for v in graph.vertices if v not in coloring),
-        key=lambda v: (-graph.degree(v), v),
+    choose = penalised_choice(
+        max_per_key, penalty, new_tuple_cost,
+        usage if usage is not None else {},
     )
-    skipped: List[int] = []
-    for v in order:
-        forbidden = set()
-        for edge in graph.incident_edges(v):
-            others = [u for u in edge if u != v]
-            colors = {coloring.get(u) for u in others}
-            if len(colors) == 1:
-                (only,) = colors
-                if only is not None:
-                    forbidden.add(only)
-        best = None
-        best_cost = math.inf
-        for c in candidates:
-            if c in forbidden:
-                continue
-            over = usage.get(c, 0) + 1 - max_per_key
-            cost = 0.0 if over <= 0 else penalty * over
-            if cost < best_cost:
-                best_cost = cost
-                best = c
-                if cost == 0.0:
-                    break  # first under-cap candidate == the hard choice
-        if best is None or math.isinf(best_cost) or best_cost > new_tuple_cost:
-            skipped.append(v)
-        else:
-            coloring[v] = best
-            usage[best] = usage.get(best, 0) + 1
-    return coloring, skipped
+    return coloring_lf(
+        graph, coloring if coloring is not None else {}, candidates,
+        choose=choose,
+    )
 
 
 @register_phase2_strategy("soft_capacity")
@@ -165,72 +168,19 @@ def soft_capacity_phase2(
     if new_tuple_cost < 0:
         raise ReproError("soft_capacity 'new_tuple_cost' must be >= 0")
 
-    stats = Phase2Stats()
-    key_column = r2.schema.key
-    factory = FreshKeyFactory(list(r2.column(key_column)))
-    pool = MintPool(factory)
-    keys_by_combo = {c: list(k) for c, k in catalog.keys_by_combo.items()}
-    new_rows: List[tuple] = []
-    coloring: Dict[int, object] = {}
     usage: Dict[object, int] = {}
-    record_new_key = new_key_recorder(
-        r2, catalog, keys_by_combo, new_rows, stats
+    choose = penalised_choice(max_per_key, penalty, new_tuple_cost, usage)
+    result = run_phase2(
+        r1, r2, dcs, assignment, catalog, fk_column, ccs=ccs,
+        executor=executor_from_config(config),
+        rule=ColoringRule(
+            lambda combo: choose, fresh_invalid=True, usage=usage
+        ),
     )
-
-    from repro.relational.executor import executor_from_config
-
-    partitions: Dict[tuple, List[int]] = partition_by_combo(
-        assignment, r1, executor=executor_from_config(config)
-    )
-
-    started = time.perf_counter()
-    for combo in sorted(partitions.keys(), key=tuple_sort_key):
-        rows = partitions[combo]
-        graph = build_conflict_graph(r1, dcs, rows)
-        stats.num_partitions += 1
-        stats.num_edges += graph.num_edges
-        candidates = sorted(keys_by_combo.get(combo, []), key=sort_key)
-        part_coloring, skipped = soft_capacity_coloring(
-            graph, candidates, max_per_key, penalty, new_tuple_cost,
-            {}, usage,
-        )
-        stats.num_skipped += len(skipped)
-        part_coloring = color_skipped_with_fresh(
-            len(rows), part_coloring, skipped, pool, combo, record_new_key,
-            lambda fresh, col, graph=graph: soft_capacity_coloring(
-                graph, fresh, max_per_key, penalty, new_tuple_cost,
-                col, usage,
-            ),
-            label="soft-capacity coloring",
-        )
-        coloring.update(part_coloring)
-    stats.coloring_seconds = time.perf_counter() - started
-
-    # Invalid tuples: fresh keys with an arbitrary safe combo, exactly as
-    # in the hard capacity strategy (the conservative escape hatch that
-    # can never add overflow).
-    started = time.perf_counter()
-    stats.num_invalid_handled = assign_invalid_fresh(
-        r1, ccs, assignment, catalog, pool, coloring, record_new_key,
-        usage=usage,
-    )
-    stats.invalid_seconds = time.perf_counter() - started
-
-    overflow = {
+    result.overflow = {
         key: count - max_per_key
         for key, count in usage.items()
         if count > max_per_key
     }
-    stats.total_overflow = sum(overflow.values())
-
-    fk_values = [coloring[row] for row in range(assignment.n)]
-    key_dtype = r2.schema.dtype(key_column)
-    r1_hat = r1.with_column(ColumnSpec(fk_column, key_dtype), fk_values)
-    r2_hat = r2.append_rows(new_rows)
-    return Phase2Result(
-        r1_hat=r1_hat,
-        r2_hat=r2_hat,
-        coloring=coloring,
-        stats=stats,
-        overflow=overflow,
-    )
+    result.stats.total_overflow = sum(result.overflow.values())
+    return result

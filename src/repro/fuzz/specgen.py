@@ -29,7 +29,9 @@ then synthesise data to stress them:
 * ``mixed`` — all of the above, drawn at random (the default).
 
 Every edge independently mixes Phase-II strategies (``capacity``,
-``soft_capacity``, ``quota_coloring``), per-edge solver overrides
+``soft_capacity`` with or without a ``new_tuple_cost``,
+``quota_coloring`` with a ``default_quota``, a per-combo ``quotas``
+match on a parent value, or both), per-edge solver overrides
 (``backend``/``time_limit``/``mip_gap``) and ``serialize`` flags, so one
 fuzz run crosses the scheduler, the strategy suite and both solver
 backends at once.
@@ -37,6 +39,7 @@ backends at once.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -323,7 +326,10 @@ def _dc_for(rng: random.Random, child: _Rel) -> Optional[str]:
 
 
 def _edge_knobs(
-    rng: random.Random, profile: FuzzProfile
+    rng: random.Random,
+    profile: FuzzProfile,
+    parent: _Rel,
+    parent_data: Dict[str, List[object]],
 ) -> Tuple[
     Optional[int],
     Optional[str],
@@ -344,8 +350,25 @@ def _edge_knobs(
             capacity = cap
             if strategy == "soft_capacity":
                 options["penalty"] = rng.choice([1, 2, 10])
+                if rng.random() < 0.5:
+                    options["new_tuple_cost"] = rng.choice([0.0, math.inf])
         else:
             options["default_quota"] = cap
+            # A per-combo quota on one parent value; without a default,
+            # the combos it does not match stay unlimited.
+            attrs = [
+                a for a in sorted(parent_data)
+                if a != parent.key and parent_data[a]
+            ]
+            if attrs and rng.random() < 0.5:
+                attr = rng.choice(attrs)
+                options["quotas"] = [{
+                    "match": {attr: rng.choice(parent_data[attr])},
+                    "quota": cap if profile.near_infeasible
+                    else rng.randint(1, 4),
+                }]
+                if rng.random() < 0.5:
+                    del options["default_quota"]
     solver: Dict[str, object] = {}
     if rng.random() < profile.p_solver_override:
         solver["backend"] = rng.choice(["native", "scipy"])
@@ -414,7 +437,7 @@ def generate_spec(seed: int, profile: str = "mixed") -> SynthesisSpec:
             if dc is not None:
                 dcs.append(dc)
         capacity, strategy, options, solver, serialize = _edge_knobs(
-            rng, prof
+            rng, prof, parent, data[edge.parent]
         )
         builder.edge(
             edge.child,

@@ -6,15 +6,25 @@ already colored with that same color (for binary edges: the neighbour's
 color).  The vertex takes the smallest permitted candidate; if every
 candidate is forbidden the vertex is *skipped* and returned to the caller
 (Algorithm 4 then mints fresh colors, i.e. fresh R2 keys).
+
+This is the only largest-first pass: the capacity-family strategies keep
+its visit order and forbidding and swap in their own candidate choice
+through the ``choose`` hook.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.phase2.hypergraph import ConflictHypergraph
 
-__all__ = ["coloring_lf"]
+__all__ = ["Choose", "coloring_lf"]
+
+#: ``choose(pool, forbidden) -> color or None``: one vertex's pick from
+#: its candidate pool given the DC-forbidden colors; ``None`` skips the
+#: vertex.  A returned color is assigned, so a rule that tracks usage
+#: counts it inside ``choose``.
+Choose = Callable[[Sequence[object], Set[object]], Optional[object]]
 
 
 def coloring_lf(
@@ -22,13 +32,16 @@ def coloring_lf(
     coloring: Dict[int, object],
     candidates: Sequence[object],
     candidate_lists: Optional[Dict[int, Sequence[object]]] = None,
+    choose: Optional[Choose] = None,
 ) -> Tuple[Dict[int, object], List[int]]:
     """Run one largest-first pass; returns ``(coloring, skipped)``.
 
     ``coloring`` may already hold colors (the second pass of Algorithm 4
     builds on the first); it is updated in place and also returned.
     ``candidate_lists`` optionally overrides the shared candidate list per
-    vertex (used by ``solveInvalidTuples``, where lists differ per tuple).
+    vertex (used by the unpartitioned ablation, where lists differ per
+    tuple).  ``choose`` replaces the default first-permitted-candidate
+    pick (see :data:`Choose`).
     """
     order = sorted(
         (v for v in graph.vertices if v not in coloring),
@@ -47,7 +60,10 @@ def coloring_lf(
         pool = candidates
         if candidate_lists is not None and v in candidate_lists:
             pool = candidate_lists[v]
-        chosen = next((c for c in pool if c not in forbidden), None)
+        if choose is None:
+            chosen = next((c for c in pool if c not in forbidden), None)
+        else:
+            chosen = choose(pool, forbidden)
         if chosen is None:
             skipped.append(v)
         else:

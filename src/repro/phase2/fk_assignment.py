@@ -8,6 +8,13 @@ fresh keys, which materialise as new tuples appended to ``R2̂`` (this is
 the second output of the paper's pipeline).  Invalid tuples — rows Phase I
 could not give B-values — are resolved last by ``solveInvalidTuples``.
 
+:func:`run_phase2` is the only Algorithm-4 driver.  Every built-in
+Phase-II strategy is option validation plus a :class:`ColoringRule`
+handed to it: the rule picks each partition's candidate choice for the
+one largest-first pass (:func:`repro.phase2.coloring.coloring_lf`), says
+how invalid rows are resolved, and holds the per-key usage a capped
+choice counts.
+
 Proposition 5.5 invariants (all DCs satisfied; ``R1̂ ⋈ R2̂ = V_join``) are
 exercised by the integration tests.
 """
@@ -16,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -25,7 +32,7 @@ from repro.constraints.dc import DenialConstraint
 from repro.errors import ColoringError
 from repro.phase1.assignment import ViewAssignment
 from repro.phase1.combos import ComboCatalog
-from repro.phase2.coloring import coloring_lf
+from repro.phase2.coloring import Choose, coloring_lf
 from repro.phase2.edges import build_conflict_graph
 from repro.phase2.hypergraph import ConflictHypergraph
 from repro.phase2.invalid import solve_invalid_tuples
@@ -37,13 +44,11 @@ from repro.relational.schema import ColumnSpec
 __all__ = [
     "Phase2Stats",
     "Phase2Result",
+    "ColoringRule",
     "run_phase2",
     "FreshKeyFactory",
     "MintPool",
-    "color_partition",
-    "color_skipped_with_fresh",
     "assign_invalid_fresh",
-    "new_key_recorder",
     "partition_by_combo",
 ]
 
@@ -161,87 +166,63 @@ class Phase2Result:
     overflow: Dict[object, int] = field(default_factory=dict)
 
 
-def new_key_recorder(
-    r2: Relation,
-    catalog: ComboCatalog,
-    keys_by_combo: Dict[tuple, List[object]],
-    new_rows: List[tuple],
-    stats: Phase2Stats,
-):
-    """The ``record_new_key(key, combo)`` closure every Phase-II strategy
-    shares: materialise the fresh key as a new R2 row carrying the
-    combo's B-values, extend the combo's candidate list, and count it."""
-    key_column = r2.schema.key
-
-    def record_new_key(key: object, combo: tuple) -> None:
-        values = catalog.as_dict(combo)
-        new_rows.append(
-            tuple(
-                key if name == key_column else values[name]
-                for name in r2.schema.names
-            )
-        )
-        keys_by_combo.setdefault(combo, []).append(key)
-        stats.num_new_r2_tuples += 1
-
-    return record_new_key
+def _plain(combo: tuple) -> Optional[Choose]:
+    return None
 
 
-def color_partition(
+@dataclass
+class ColoringRule:
+    """One Phase-II strategy's coloring, as :func:`run_phase2` applies it.
+
+    Every built-in strategy is option validation plus one of these: the
+    default rule is the paper's plain Algorithm 3/4 (the ``"coloring"``
+    strategy); the capacity-family strategies swap in their candidate
+    choice and the conservative invalid-row fallback.
+    """
+
+    #: ``combo -> choose`` for that combo's partition (see
+    #: :data:`repro.phase2.coloring.Choose`); ``None`` colors it with plain
+    #: Algorithm 3, including its DC-free shortcut.
+    choose_for: Callable[[tuple], Optional[Choose]] = _plain
+    #: Give every invalid row a fresh key (:func:`assign_invalid_fresh`)
+    #: instead of running ``solveInvalidTuples``.
+    fresh_invalid: bool = False
+    #: ``key -> rows`` counted by the rule's choose functions and by the
+    #: fresh-key invalid rows (the soft strategy's overflow source).
+    usage: Dict[object, int] = field(default_factory=dict)
+
+
+def _color_fresh(
     graph: ConflictHypergraph,
-    candidates: List[object],
+    coloring: Dict[int, object],
+    skipped: List[int],
     pool: MintPool,
-    stats: Phase2Stats,
-) -> Tuple[Dict[int, object], List[object]]:
-    """Color one partition; returns (coloring, fresh keys actually used)."""
-    coloring: Dict[int, object] = {}
-    coloring, skipped = coloring_lf(graph, coloring, candidates)
-    stats.num_skipped += len(skipped)
-    used_fresh: List[object] = []
+    combo: tuple,
+    record_new_key: Callable[[object, tuple], None],
+    choose: Optional[Choose] = None,
+) -> None:
+    """Algorithm 4's retry: color ``skipped`` vertices with fresh keys.
+
+    Each round offers as many fresh keys as vertices remain to a
+    largest-first pass (with the same ``choose`` rule as the first pass).
+    Fresh keys the round used materialise via ``record_new_key`` in pool
+    order; unclaimed ones return to the pool.
+    """
     guard = 0
     while skipped:
         guard += 1
         if guard > graph.num_vertices + 1:
             raise ColoringError("fresh-color loop failed to make progress")
         fresh = pool.take(len(skipped))
-        coloring, skipped = coloring_lf(graph, coloring, fresh)
-        used = set(coloring.values()) & set(fresh)
-        used_fresh.extend(k for k in fresh if k in used)
-        pool.release([k for k in fresh if k not in used])
-    return coloring, used_fresh
-
-
-def color_skipped_with_fresh(
-    num_rows: int,
-    coloring: Dict[int, object],
-    skipped: List[int],
-    pool: MintPool,
-    combo: tuple,
-    record_new_key,
-    color_pass,
-    label: str = "fresh-color",
-) -> Dict[int, object]:
-    """Resolve ``skipped`` vertices with fresh keys (Algorithm 4's retry).
-
-    ``color_pass(fresh, coloring) -> (coloring, skipped)`` runs one pass
-    of the caller's coloring over the fresh candidates — the hook through
-    which the capacity-family strategies reuse this loop with their own
-    forbidding rules.  Fresh keys that a pass actually used materialise
-    via ``record_new_key``; unclaimed ones return to the pool.
-    """
-    guard = 0
-    while skipped:
-        guard += 1
-        if guard > num_rows + 1:
-            raise ColoringError(f"{label} loop failed to make progress")
-        fresh = pool.take(len(skipped))
-        coloring, skipped = color_pass(fresh, coloring)
-        used = set(coloring.values())
+        offered = skipped
+        _, skipped = coloring_lf(graph, coloring, fresh, choose=choose)
+        # Only the offered vertices were uncolored, so only they can hold
+        # a key of this round.
+        used = {coloring[v] for v in offered if v in coloring}
         for key in fresh:
             if key in used:
                 record_new_key(key, combo)
         pool.release([k for k in fresh if k not in used])
-    return coloring
 
 
 def assign_invalid_fresh(
@@ -251,13 +232,13 @@ def assign_invalid_fresh(
     catalog: ComboCatalog,
     pool: MintPool,
     coloring: Dict[int, object],
-    record_new_key,
-    usage: Optional[Dict[object, int]] = None,
+    record_new_key: Callable[[object, tuple], None],
+    usage: Dict[object, int],
 ) -> int:
     """The conservative invalid-tuple escape hatch of the capacity-family
     strategies: every invalid row gets a fresh key on a safe combo, so a
-    usage of 1 can never breach a cap or quota.  Returns the number of
-    rows handled."""
+    usage of 1 (counted in ``usage``) can never breach a cap or quota.
+    Returns the number of rows handled."""
     invalid_rows = sorted(assignment.invalid)
     for row in invalid_rows:
         combo = catalog.combos[0] if catalog.combos else None
@@ -269,8 +250,7 @@ def assign_invalid_fresh(
         key = pool.mint()
         record_new_key(key, combo)
         coloring[row] = key
-        if usage is not None:
-            usage[key] = usage.get(key, 0) + 1
+        usage[key] = usage.get(key, 0) + 1
         assignment.assign(row, catalog.as_dict(combo))
         assignment.invalid.discard(row)
     return len(invalid_rows)
@@ -287,8 +267,13 @@ def run_phase2(
     partitioned: bool = True,
     parallel_workers: int = 0,
     executor: Optional[KernelExecutor] = None,
+    rule: Optional[ColoringRule] = None,
 ) -> Phase2Result:
     """Complete ``R1.FK`` so every DC holds; possibly grow ``R2``.
+
+    ``rule`` is the strategy's coloring (default: plain Algorithm 3/4);
+    the two ablation knobs below apply to the default rule only, so a
+    strategy with its own rule always colors partition by partition.
 
     ``partitioned=False`` builds a single global conflict graph with
     per-vertex candidate lists (the ablation of the Section 5.2
@@ -298,6 +283,7 @@ def run_phase2(
     (Appendix A.3); fresh keys for skipped vertices are still minted by
     this process, which keeps key uniqueness single-owner.
     """
+    rule = rule or ColoringRule()
     stats = Phase2Stats()
     key_column = r2.schema.key
     factory = FreshKeyFactory(list(r2.column(key_column)))
@@ -309,15 +295,24 @@ def run_phase2(
         combo: list(keys) for combo, keys in catalog.keys_by_combo.items()
     }
 
+    def record_new_key(key: object, combo: tuple) -> None:
+        """Materialise a fresh key as a new R2 row carrying the combo's
+        B-values and extend the combo's candidate list."""
+        values = catalog.as_dict(combo)
+        new_r2_rows.append(
+            tuple(
+                key if name == key_column else values[name]
+                for name in r2.schema.names
+            )
+        )
+        keys_by_combo.setdefault(combo, []).append(key)
+        stats.num_new_r2_tuples += 1
+
     # Partition the completed rows by their full B-combo — one
     # lexsort-and-split over the assignment's code matrix (chunked when
     # R1 itself is).
     partitions: Dict[tuple, List[int]] = partition_by_combo(
         assignment, r1, executor=executor
-    )
-
-    record_new_key = new_key_recorder(
-        r2, catalog, keys_by_combo, new_r2_rows, stats
     )
 
     if partitioned and parallel_workers > 0:
@@ -335,21 +330,9 @@ def run_phase2(
         ):
             stats.num_skipped += len(skipped_rows)
             graph = build_conflict_graph(r1, dcs, partitions[combo])
-            remaining = list(skipped_rows)
-            guard = 0
-            while remaining:
-                guard += 1
-                if guard > len(partitions[combo]) + 1:
-                    raise ColoringError(
-                        "fresh-color loop failed to make progress"
-                    )
-                fresh = pool.take(len(remaining))
-                coloring, remaining = coloring_lf(graph, coloring, fresh)
-                used = set(coloring.values()) & set(fresh)
-                for key in fresh:
-                    if key in used:
-                        record_new_key(key, combo)
-                pool.release([k for k in fresh if k not in used])
+            _color_fresh(
+                graph, coloring, skipped_rows, pool, combo, record_new_key
+            )
         stats.coloring_seconds = time.perf_counter() - started
     elif partitioned:
         for combo in sorted(partitions.keys(), key=tuple_sort_key):
@@ -360,7 +343,8 @@ def run_phase2(
                     f"no candidate keys for combo {combo!r}; Phase I "
                     "assigned a combination absent from R2"
                 )
-            if not dcs:
+            choose = rule.choose_for(combo)
+            if choose is None and not dcs:
                 # No DCs ⇒ the conflict graph is empty and largest-first
                 # visits the rows ascending, giving every one the first
                 # candidate — same content and insertion order as the
@@ -377,13 +361,14 @@ def run_phase2(
             stats.num_partitions += 1
 
             started = time.perf_counter()
-            part_coloring, used_fresh = color_partition(
-                graph, candidates, pool, stats
+            coloring, skipped = coloring_lf(
+                graph, coloring, candidates, choose=choose
+            )
+            stats.num_skipped += len(skipped)
+            _color_fresh(
+                graph, coloring, skipped, pool, combo, record_new_key, choose
             )
             stats.coloring_seconds += time.perf_counter() - started
-            for key in used_fresh:
-                record_new_key(key, combo)
-            coloring.update(part_coloring)
     else:
         combo_of_row = {
             row: combo
@@ -425,8 +410,13 @@ def run_phase2(
     # Invalid tuples.
     # ------------------------------------------------------------------
     started = time.perf_counter()
-    if assignment.invalid:
-        handled = solve_invalid_tuples(
+    if assignment.invalid and rule.fresh_invalid:
+        stats.num_invalid_handled = assign_invalid_fresh(
+            r1, ccs, assignment, catalog, pool, coloring, record_new_key,
+            rule.usage,
+        )
+    elif assignment.invalid:
+        stats.num_invalid_handled = solve_invalid_tuples(
             r1=r1,
             dcs=dcs,
             ccs=ccs,
@@ -437,7 +427,6 @@ def run_phase2(
             factory=pool,
             record_new_key=record_new_key,
         )
-        stats.num_invalid_handled = handled
     stats.invalid_seconds = time.perf_counter() - started
 
     # ------------------------------------------------------------------

@@ -408,9 +408,15 @@ class SynthesisSpec:
                     f"duplicate FK edge on {edge.child}.{edge.column}"
                 )
             seen_edges.add((edge.child, edge.column))
-            if edge.capacity is not None and edge.capacity < 1:
+            # ``bool`` subclasses ``int`` (``True < 1`` is false): without
+            # the explicit check ``capacity = true`` is a cap of 1.
+            if edge.capacity is not None and (
+                not isinstance(edge.capacity, int)
+                or isinstance(edge.capacity, bool)
+                or edge.capacity < 1
+            ):
                 raise SchemaError(
-                    f"edge {edge.edge_key}: capacity must be >= 1"
+                    f"edge {edge.edge_key}: capacity must be an integer >= 1"
                 )
             self._validate_edge_strategy(edge)
             self._validate_edge_solver(edge)

@@ -4,6 +4,9 @@ import pytest
 
 from repro.constraints import parse_cc, parse_dc
 from repro.core.metrics import dc_error
+from repro.core.synthesizer import CExtensionSolver
+from repro.datagen.census import CensusConfig, generate_census
+from repro.datagen.constraints_census import cc_family, good_dcs
 from repro.errors import ReproError
 from repro.extensions.capacity import (
     capacity_coloring,
@@ -110,3 +113,37 @@ class TestSolveWithCapacity:
         result = solve_with_capacity(r1, r2, fk_column="hid", max_per_key=3)
         histogram = fk_usage_histogram(result.r1_hat, "hid")
         assert sum(histogram.values()) == len(r1)
+
+    @pytest.mark.parametrize("cap", [True, False, 2.0, None])
+    def test_non_integer_cap_rejected(self, instance, cap):
+        """``True`` used to pass ``isinstance(cap, int)`` as a cap of 1."""
+        r1, r2 = instance
+        with pytest.raises(ReproError, match="integer 'max_per_key'"):
+            solve_with_capacity(r1, r2, fk_column="hid", max_per_key=cap)
+
+
+class TestPhase2Timing:
+    """Every strategy bills graph building to ``edge_seconds``."""
+
+    @pytest.fixture(scope="class")
+    def census(self):
+        data = generate_census(
+            CensusConfig(n_households=40, n_areas=4, seed=5)
+        )
+        return data, cc_family(data, "good", 10), good_dcs()
+
+    def _stats(self, census, strategy, options=None):
+        data, ccs, dcs = census
+        return CExtensionSolver().solve(
+            data.persons_masked, data.housing, fk_column="hid",
+            ccs=ccs, dcs=dcs, strategy=strategy, strategy_options=options,
+        ).phase2.stats
+
+    @pytest.mark.parametrize("strategy", ["capacity", "soft_capacity"])
+    def test_edge_seconds_split_like_coloring(self, census, strategy):
+        plain = self._stats(census, "coloring")
+        capped = self._stats(census, strategy, {"max_per_key": 2})
+        assert plain.num_edges > 0
+        assert capped.edge_seconds > 0
+        assert capped.num_edges == plain.num_edges
+        assert capped.num_partitions == plain.num_partitions

@@ -139,6 +139,28 @@ class TestSynthesisSpec:
         with pytest.raises(SchemaError):
             _two_table_spec(capacity=0)
 
+    @pytest.mark.parametrize("capacity", [True, False, 2.5])
+    def test_non_integer_capacity_rejected(self, capacity):
+        """``capacity = true`` is not a cap of 1 (``True < 1`` is false),
+        and a float fails at load time, not deep in Phase II."""
+        with pytest.raises(SchemaError, match="capacity must be an integer"):
+            _two_table_spec(capacity=capacity)
+
+    def test_boolean_capacity_in_toml_rejected(self, tmp_path):
+        from repro.spec import load_spec
+
+        path = tmp_path / "spec.toml"
+        path.write_text(
+            "[[relations]]\nname = 'r1'\nkey = 'pid'\n"
+            "columns = { pid = [1, 2] }\n"
+            "[[relations]]\nname = 'r2'\nkey = 'hid'\n"
+            "columns = { hid = [1], Area = ['X'] }\n"
+            "[[edges]]\nchild = 'r1'\ncolumn = 'hid'\nparent = 'r2'\n"
+            "capacity = true\n"
+        )
+        with pytest.raises(SchemaError, match="capacity must be an integer"):
+            load_spec(path)
+
     def test_fact_inference(self):
         assert _two_table_spec().fact() == "r1"
 
